@@ -60,7 +60,8 @@ class GlyphAtlas:
     """Immutable-after-build mapping from glyph keys to bitmaps.
 
     `entries` preserves insertion order, which downstream id assignment
-    relies on. Lookup never fails: unknown clusters resolve to `fallback`.
+    relies on. Resolution never fails: `resolve` returns None for a
+    cluster that falls back to `fallback`.
     """
 
     def __init__(self, entries: dict[GlyphKey, bytes] | None = None, fallback: bytes | None = None):
@@ -101,11 +102,6 @@ class GlyphAtlas:
             if key in self.entries:
                 return key
         return None
-
-    def lookup(self, sc: ShapedCluster) -> bytes:
-        """Bitmap for a shaped cluster; total, never raises."""
-        key = self.resolve(sc)
-        return self.fallback if key is None else self.entries[key]
 
 
 def build_atlas(glyph_dir: str | Path, manifest: str | Path) -> GlyphAtlas:

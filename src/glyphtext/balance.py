@@ -16,10 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .nn.ops import softmax_cross_entropy
-from .nn.tensor import Tensor
 
-__all__ = ["effective_number", "cb_weights", "cb_softmax_loss"]
+__all__ = ["effective_number", "cb_weights"]
 
 
 def _check_beta(beta: float) -> float:
@@ -46,8 +44,8 @@ def effective_number(n, beta: float):
     return float(e) if np.isscalar(n) or np.ndim(n) == 0 else e
 
 
-def cb_weights(counts, beta: float, normalize: bool = True) -> np.ndarray:
-    """Per-class weights 1 / E_{n_c}, optionally rescaled to sum to C.
+def cb_weights(counts, beta: float) -> np.ndarray:
+    """Per-class weights 1 / E_{n_c}, rescaled to sum to C.
 
     The rescale keeps the loss on the same overall scale as unweighted
     cross-entropy, so one learning rate works with and without weighting.
@@ -56,18 +54,5 @@ def cb_weights(counts, beta: float, normalize: bool = True) -> np.ndarray:
     if counts.ndim != 1 or counts.size == 0:
         raise ParameterError(f"counts must be a non-empty 1-D array, got shape {counts.shape}")
     raw = 1.0 / effective_number(counts, beta)
-    if normalize:
-        return raw * (counts.size / raw.sum())
-    return raw
+    return raw * (counts.size / raw.sum())
 
-
-def cb_softmax_loss(
-    logits: Tensor,
-    labels: np.ndarray,
-    counts,
-    beta: float,
-    normalize: bool = True,
-) -> Tensor:
-    """Softmax cross-entropy with class-balanced weights from `counts`."""
-    w = cb_weights(counts, beta, normalize=normalize)
-    return softmax_cross_entropy(logits, labels, class_weights=w)

@@ -15,6 +15,7 @@ save -> load -> save is byte-identical.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,7 +49,8 @@ def _config_bytes(config: dict[str, str]) -> bytes:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Write atomically (temp file + rename)."""
+    """Write atomically: temp file, fsync, then rename, so a crash leaves
+    either the old or the new checkpoint whole on disk."""
     path = Path(path)
     blob = _config_bytes(ckpt.config)
     out = bytearray()
@@ -71,17 +73,22 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     out += ckpt.rng_blob
 
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(bytes(out))
+    with open(tmp, "wb") as fh:
+        fh.write(out)
+        fh.flush()
+        os.fsync(fh.fileno())
     tmp.replace(path)
 
 
 class _Reader:
+    # Slices of a memoryview share the file buffer, so each tensor is copied
+    # once, by `load_checkpoint`.
     def __init__(self, buf: bytes, path):
-        self.buf = buf
+        self.buf = memoryview(buf)
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise CheckpointError(
                 f"{self.path}: truncated checkpoint (needed {n} bytes at "
@@ -106,7 +113,7 @@ def load_checkpoint(path) -> Checkpoint:
     version = r.u32()
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    blob = r.take(r.u32()).decode("utf-8")
+    blob = str(r.take(r.u32()), "utf-8")
     config: dict[str, str] = {}
     if blob:
         for line in blob.split("\n"):
@@ -114,7 +121,7 @@ def load_checkpoint(path) -> Checkpoint:
             config[key] = value
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
-        name = r.take(r.u32()).decode("utf-8")
+        name = str(r.take(r.u32()), "utf-8")
         ndim = r.u8()
         shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
         count = int(np.prod(shape)) if ndim else 1

@@ -217,30 +217,25 @@ def _dispatch(cmd: str, a: dict[str, Any]) -> None:
         print(json.dumps({"checkpoint": str(path)}))
     elif cmd == "eval":
         from .metrics import metrics_json
-        from .checkpoint import load_checkpoint
-        from .train import run_eval
+        from .train import _eval_trained, _load_trained
 
-        m = run_eval(a["checkpoint"], a["dataset"], a["seed"], a["out"])
-        label_map = json.loads(load_checkpoint(a["checkpoint"]).config["label_map"])
-        print(metrics_json(m, label_map))
+        model = _load_trained(a["checkpoint"])
+        m = _eval_trained(model, a["dataset"], a["seed"], a["out"])
+        print(metrics_json(m, model.label_map))
     elif cmd == "predict":
-        from .train import predict_text
+        from .train import _load_trained, _predict_trained
 
-        label, probs = predict_text(a["checkpoint"], a["text"])
-        from .checkpoint import load_checkpoint
-
-        label_map = json.loads(load_checkpoint(a["checkpoint"]).config["label_map"])
-        by_id = {v: k for k, v in label_map.items()}
+        model = _load_trained(a["checkpoint"])
+        label, probs = _predict_trained(model, a["text"])
         print(json.dumps(
             {"label": label,
-             "probabilities": {by_id[i]: float(p) for i, p in enumerate(probs)}},
+             "probabilities": {name: float(probs[i]) for name, i in model.label_map.items()}},
             ensure_ascii=False,
         ))
     else:  # export-embeddings
         from .atlas import load_atlas
         from .checkpoint import load_checkpoint
-        from .metrics import export_embeddings
-        from .train import _restore_model
+        from .train import _restore_model, export_embeddings
 
         ckpt = load_checkpoint(a["checkpoint"])
         _, _, params = _restore_model(ckpt)

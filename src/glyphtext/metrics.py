@@ -1,4 +1,4 @@
-"""Confusion-matrix metrics and embedding export.
+"""Confusion-matrix metrics.
 
 Micro and macro F-scores follow the standard conventions: micro pools
 counts over classes (which for single-label prediction equals accuracy);
@@ -13,14 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import GlyphAtlas
 from .errors import ShapeError
-from .models import ModelParams, _encoder_stack
-from .nn.tensor import Tensor
-from .pipeline import Dataset
 
-__all__ = ["Metrics", "confusion", "f_scores", "majority_baseline",
-           "metrics_json", "export_embeddings"]
+__all__ = ["Metrics", "confusion", "f_scores", "metrics_json"]
 
 
 @dataclass(frozen=True)
@@ -82,16 +77,6 @@ def f_scores(cm: np.ndarray) -> Metrics:
     )
 
 
-def majority_baseline(train: Dataset, test: Dataset) -> Metrics:
-    """Metrics of always predicting the most frequent training label
-    (ties broken toward the lowest label id)."""
-    counts = np.bincount(train.labels, minlength=train.num_classes)
-    majority = int(counts.argmax())  # argmax returns the first (lowest id) maximum
-    labels = test.labels
-    preds = np.full(labels.shape, majority, dtype=np.int64)
-    return f_scores(confusion(preds, labels, train.num_classes))
-
-
 def metrics_json(m: Metrics, label_map: dict[str, int]) -> str:
     by_id = {v: k for k, v in label_map.items()}
     per_class = [
@@ -109,24 +94,3 @@ def metrics_json(m: Metrics, label_map: dict[str, int]) -> str:
         ensure_ascii=False,
     )
 
-
-def export_embeddings(params: ModelParams, atlas: GlyphAtlas, path) -> int:
-    """Write one `key<TAB>128 floats` line per atlas entry; returns the count.
-
-    Keys are the entry codepoints in hex, '+'-joined. Encoding runs in
-    chunks so large atlases stay within memory.
-    """
-    from .atlas import to_feature
-
-    keys = list(atlas.entries)
-    written = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(keys), 256):
-            chunk = keys[start : start + 256]
-            feats = np.stack([to_feature(atlas.entries[k]) for k in chunk])
-            emb = _encoder_stack(Tensor(feats), params.params).data
-            for key, vec in zip(chunk, emb):
-                name = "+".join(f"{cp:04X}" for cp in key)
-                fh.write(name + "\t" + "\t".join(repr(float(v)) for v in vec) + "\n")
-                written += 1
-    return written

@@ -23,7 +23,6 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "init_params",
-    "encode_chars",
     "encode_unique",
     "wildcard_dropout",
     "clcnn_forward",
@@ -154,16 +153,6 @@ def _encoder_stack(x: Tensor, params: dict[str, Tensor]) -> Tensor:
     h = ops.relu(ops.linear(h, params["enc.fc1.w"], params["enc.fc1.b"]))
     h = ops.relu(ops.linear(h, params["enc.fc2.w"], params["enc.fc2.b"]))
     return h
-
-
-def encode_chars(bitplanes: Tensor, params: ModelParams, batch: int, length: int) -> Tensor:
-    """Encode a flat (B*L, 1, 36, 36) glyph batch into (B, L, 128)."""
-    if bitplanes.shape[0] != batch * length:
-        raise ShapeError(
-            f"expected {batch}*{length}={batch * length} bitplanes, got {bitplanes.shape[0]}"
-        )
-    enc = _encoder_stack(bitplanes, params.params)
-    return ops.reshape(enc, (batch, length, EMBED_DIM))
 
 
 def encode_unique(

@@ -25,7 +25,6 @@ __all__ = [
     "add",
     "mul",
     "affine",
-    "matmul",
     "relu",
     "sigmoid",
     "tanh",
@@ -49,7 +48,6 @@ __all__ = [
     "softmax",
     "softmax_ce_with_grad",
     "softmax_cross_entropy",
-    "gru_cell",
 ]
 
 _f32 = np.float32
@@ -108,23 +106,6 @@ def affine(x: Tensor, scale: float, shift: float = 0.0) -> Tensor:
         x.accumulate(s * g)
 
     return _node(data, (x,), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product (M,K) @ (K,N)."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner axes differ: {a.shape[1]} vs {b.shape[0]}")
-    data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate(a.data.T @ g)
-
-    return _node(data, (a, b), backward)
 
 
 # When not None (armed by nn.gradcheck), every relu/maxpool forward appends
@@ -653,35 +634,3 @@ def softmax_cross_entropy(
         logits.accumulate(float(g) * dz)
 
     return _node(np.asarray(loss, dtype=_f32), (logits,), backward)
-
-
-def gru_cell(x: Tensor, h_prev: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
-    """One GRU step.
-
-    Gate stacking order is [update z | reset r | candidate n]:
-        z = sigmoid(W_z x + U_z h + b_z)
-        r = sigmoid(W_r x + U_r h + b_r)
-        n = tanh(W_n x + U_n (r * h) + b_n)
-        h' = (1 - z) * h + z * n
-    w_x: (3h, d_in); w_h: (3h, h); b: (3h,). Accepts (d,) or (B, d) inputs.
-    """
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = reshape(x, (1, -1))
-        h_prev = reshape(h_prev, (1, -1))
-    if x.ndim != 2 or h_prev.ndim != 2:
-        raise ShapeError(f"gru_cell needs (B, d) inputs, got {x.shape} and {h_prev.shape}")
-    dh = h_prev.shape[1]
-    if w_x.shape != (3 * dh, x.shape[1]):
-        raise ShapeError(f"gru_cell w_x shape {w_x.shape} != ({3 * dh}, {x.shape[1]})")
-    if w_h.shape != (3 * dh, dh) or b.shape != (3 * dh,):
-        raise ShapeError(f"gru_cell w_h/b shapes {w_h.shape}, {b.shape} inconsistent with h={dh}")
-
-    xg = linear(x, w_x, b)  # (B, 3h)
-    hg = linear(h_prev, narrow(w_h, 0, 0, 2 * dh))  # z and r recurrent terms
-    z = sigmoid(add(narrow(xg, 1, 0, dh), narrow(hg, 1, 0, dh)))
-    r = sigmoid(add(narrow(xg, 1, dh, 2 * dh), narrow(hg, 1, dh, 2 * dh)))
-    rh = mul(r, h_prev)
-    n = tanh(add(narrow(xg, 1, 2 * dh, 3 * dh), linear(rh, narrow(w_h, 0, 2 * dh, 3 * dh))))
-    h_new = add(mul(affine(z, -1.0, 1.0), h_prev), mul(z, n))
-    return reshape(h_new, (dh,)) if squeeze else h_new

@@ -71,9 +71,6 @@ class Tensor:
                 t.grad = None  # free intermediate buffers
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:  # pragma: no cover
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"

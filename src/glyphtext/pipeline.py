@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     StratificationError,
 )
-from .shaping import ArabicShaper
+from .shaping import ArabicShaper, _is_removed
 
 __all__ = [
     "PAD_ID",
@@ -37,7 +37,6 @@ __all__ = [
     "encode_document",
     "encode_corpus",
     "iter_id_batches",
-    "batch_iter",
     "synth_longtail",
 ]
 
@@ -98,7 +97,11 @@ class GlyphIndex:
 
 
 def load_dataset(path) -> Dataset:
-    """Read `label<TAB>text` lines, interning labels in first-appearance order."""
+    """Read `label<TAB>text` lines, interning labels in first-appearance order.
+
+    Records whose text normalizes to nothing (empty, or only zero-width and
+    control characters) are dropped and counted in `dropped_empty`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     label_map: dict[str, int] = {}
@@ -108,7 +111,7 @@ def load_dataset(path) -> Dataset:
         if "\t" not in line:
             raise DatasetError(f"{path}: line {lineno} has no tab separator")
         label, text = line.split("\t", 1)
-        if text == "":
+        if all(_is_removed(ch) for ch in text):
             dropped += 1
             continue
         if label not in label_map:
@@ -117,7 +120,7 @@ def load_dataset(path) -> Dataset:
     if not records:
         raise DatasetError(f"{path}: no usable records")
     if dropped:
-        log.warning("%s: dropped %d empty-text record(s)", path, dropped)
+        log.warning("%s: dropped %d record(s) whose text normalizes to nothing", path, dropped)
     return Dataset(records, label_map, dropped_empty=dropped)
 
 
@@ -187,7 +190,7 @@ def class_counts(train: Dataset) -> np.ndarray:
 
 def encode_document(
     text: str,
-    atlas: Union[GlyphAtlas, GlyphIndex],
+    index: GlyphIndex,
     shaper: ArabicShaper,
     max_len: Optional[int] = None,
 ) -> EncodedDoc:
@@ -196,7 +199,6 @@ def encode_document(
     Finite `max_len` truncates and right-pads with PAD; unbounded documents
     are capped at LENGTH_CAP and left unpadded.
     """
-    index = atlas if isinstance(atlas, GlyphIndex) else GlyphIndex(atlas)
     shaped = shaper.shape_text(text)
     if not shaped:
         raise EmptyDocumentError(f"text normalizes to nothing: {text!r}")
@@ -259,23 +261,6 @@ def iter_id_batches(
             n = min(docs[i].true_len, width)
             ids[row, :n] = docs[i].glyph_ids[:n]
         yield ids, np.minimum(lens, width), labels[batch]
-
-
-def batch_iter(
-    ds: Dataset,
-    atlas: Union[GlyphAtlas, GlyphIndex],
-    shaper: ArabicShaper,
-    batch_size: int = 64,
-    max_len: Optional[int] = None,
-    seed: int = 0,
-    epoch: int = 0,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (bitplanes (B*L,1,36,36), lengths, labels) for each batch."""
-    index = atlas if isinstance(atlas, GlyphIndex) else GlyphIndex(atlas)
-    docs = encode_corpus(ds, index, shaper, max_len)
-    bank = index.bank()
-    for ids, lens, labs in iter_id_batches(docs, ds.labels, batch_size, max_len, seed, epoch):
-        yield bank[ids.ravel()], lens, labs
 
 
 def synth_longtail(

@@ -2,18 +2,18 @@
 their base letters, and resolve each letter to its positional written form
 (isolated / initial / medial / final) via the standard cursive-joining rules.
 
-Joining classes are loaded from a semicolon-delimited data file in the
-ArabicShaping.txt layout (a UCD-derived copy ships with the package; any
-published ArabicShaping.txt works as a drop-in).
+Joining classes come from a UCD-derived table in the ArabicShaping.txt
+layout that ships with the package; it is parsed once per process.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DatasetError
@@ -100,20 +100,17 @@ def normalize(text: str) -> str:
     return "".join(ch for ch in composed if not _is_removed(ch))
 
 
-def load_joining_classes(path: str | Path | None = None) -> dict[int, JoiningClass]:
-    """Parse a joining-class data file (ArabicShaping.txt layout).
+@functools.cache
+def load_joining_classes() -> Mapping[int, JoiningClass]:
+    """The bundled joining-class table (ArabicShaping.txt layout), parsed
+    on first use and shared read-only by every later caller.
 
     Each data line is `codepoint; name; type; group`; only the first and
     third fields are used. Join-causing characters (type C, e.g. tatweel)
     are folded into DUAL; the rare Left_Joining type has no Arabic members
-    and is treated as NON_JOINING. `path=None` loads the bundled copy.
+    and is treated as NON_JOINING.
     """
-    if path is None:
-        text = (
-            resources.files("glyphtext").joinpath("data/arabic_joining.txt").read_text("utf-8")
-        )
-    else:
-        text = Path(path).read_text("utf-8")
+    text = resources.files("glyphtext").joinpath("data/arabic_joining.txt").read_text("utf-8")
     letter_map = {
         "D": JoiningClass.DUAL,
         "R": JoiningClass.RIGHT_JOINING,
@@ -131,7 +128,7 @@ def load_joining_classes(path: str | Path | None = None) -> dict[int, JoiningCla
         if len(fields) < 3 or fields[2] not in letter_map:
             raise DatasetError(f"joining data line {lineno}: unparseable entry {raw!r}")
         table[int(fields[0], 16)] = letter_map[fields[2]]
-    return table
+    return MappingProxyType(table)
 
 
 def _presentation_table() -> dict[tuple[int, Form], int]:
@@ -165,26 +162,10 @@ def presentation_form(cp: int, form: Form) -> int:
 
 
 class ArabicShaper:
-    """Stateless shaping pipeline over a fixed joining-class table.
+    """Stateless shaping pipeline over the bundled joining-class table."""
 
-    `contextual_forms=False` assigns ISOLATED everywhere (ablation mode);
-    `fuse_marks=False` gives every combining mark its own placeholder-based
-    cluster instead of attaching it to the preceding letter.
-    """
-
-    def __init__(
-        self,
-        joining_data: str | Path | Mapping[int, JoiningClass] | None = None,
-        *,
-        contextual_forms: bool = True,
-        fuse_marks: bool = True,
-    ) -> None:
-        if isinstance(joining_data, Mapping):
-            self._classes = dict(joining_data)
-        else:
-            self._classes = load_joining_classes(joining_data)
-        self.contextual_forms = contextual_forms
-        self.fuse_marks = fuse_marks
+    def __init__(self) -> None:
+        self._classes = load_joining_classes()
 
     def joining_class(self, cp: int) -> JoiningClass:
         """Joining class of a scalar value; total over all of Unicode."""
@@ -205,7 +186,7 @@ class ArabicShaper:
         for ch in text:
             cp = ord(ch)
             if is_combining_mark(cp):
-                if not self.fuse_marks or not out:
+                if not out:
                     out.append((PLACEHOLDER_BASE, [cp]))
                 else:
                     out[-1][1].append(cp)
@@ -241,11 +222,8 @@ class ArabicShaper:
         joins = (JoiningClass.DUAL, JoiningClass.RIGHT_JOINING)
         shaped = []
         for i, c in enumerate(clusters):
-            if self.contextual_forms:
-                to_prev = prev_cls[i] is JoiningClass.DUAL and classes[i] in joins
-                to_next = classes[i] is JoiningClass.DUAL and next_cls[i] in joins
-            else:
-                to_prev = to_next = False
+            to_prev = prev_cls[i] is JoiningClass.DUAL and classes[i] in joins
+            to_next = classes[i] is JoiningClass.DUAL and next_cls[i] in joins
             if to_prev and to_next:
                 form = Form.MEDIAL
             elif to_prev:

@@ -2,7 +2,9 @@
 
 A training run owns its checkpoint directory through a pid lock file.
 Every epoch appends one JSON record to `train.log` (and stdout); eval
-epochs add held-out micro/macro F and write `checkpoint.bin`. All
+epochs add held-out micro/macro F and write `checkpoint.bin`. A run first
+cuts `train.log` back to the epochs its starting checkpoint holds, so a
+resumed run leaves the same log as an unbroken one. All
 randomness derives from the run seed: parameter init, the stateful
 wildcard-dropout stream, and per-epoch batch shuffles use separate
 seed-sequence branches, and the wildcard stream's generator state is
@@ -22,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .atlas import load_atlas
+from .atlas import GlyphAtlas, load_atlas, to_feature
 from .balance import cb_weights
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import (
@@ -33,7 +35,7 @@ from .errors import (
     TrainingLockError,
 )
 from .metrics import Metrics, confusion, f_scores, metrics_json
-from .models import ModelConfig, ModelParams, forward_documents, init_params
+from .models import ModelConfig, ModelParams, _encoder_stack, forward_documents, init_params
 from .nn.ops import softmax, softmax_cross_entropy
 from .nn.optim import Adam, AdamState
 from .nn.tensor import Tensor
@@ -49,7 +51,7 @@ from .pipeline import (
 )
 from .shaping import ArabicShaper
 
-__all__ = ["TrainConfig", "run_train", "run_eval", "predict_text"]
+__all__ = ["TrainConfig", "run_train", "run_eval", "predict_text", "export_embeddings"]
 
 log = logging.getLogger(__name__)
 
@@ -217,9 +219,9 @@ def _restore_model(ckpt: Checkpoint) -> tuple[ModelConfig, dict[str, int], Model
         if name.startswith("adam."):
             continue
         if name.startswith("state."):
-            state[name[len("state.") :]] = arr.copy()
+            state[name[len("state.") :]] = arr
         else:
-            params[name] = Tensor(arr.copy(), requires_grad=True)
+            params[name] = Tensor(arr, requires_grad=True)
     return mcfg, label_map, ModelParams(params, state)
 
 
@@ -231,7 +233,7 @@ def _restore_adam(ckpt: Checkpoint, params: ModelParams, lr: float) -> Adam:
             v = ckpt.tensors["adam.v." + name]
         except KeyError as exc:
             raise CompatibilityError(f"checkpoint lacks optimizer state for {name!r}") from exc
-        state[name] = AdamState(m.copy(), v.copy())
+        state[name] = AdamState(m, v)
     return Adam(
         params.trainable(), lr=lr, step_count=int(ckpt.config["adam_step"]), state=state
     )
@@ -256,8 +258,25 @@ def _evaluate(
 _RESUME_KEYS = (
     "classifier", "num_classes", "max_len", "wildcard_ratio", "gru_hidden",
     "gru_layers", "mean_all_layers", "batch_size", "lr", "beta", "seed",
-    "stratified", "num_glyphs", "label_map",
+    "val_fraction", "stratified", "num_glyphs", "label_map",
 )
+
+
+def _truncate_log(log_path: Path, epoch: int) -> None:
+    """Keep only the records of epochs before `epoch`, as an unbroken run
+    would have written them; a line torn by a crash is dropped too."""
+    if not log_path.exists():
+        return
+    kept = []
+    for line in log_path.read_text(encoding="utf-8").splitlines():
+        try:
+            if json.loads(line)["epoch"] < epoch:
+                kept.append(line + "\n")
+        except (ValueError, TypeError, KeyError):
+            continue
+    tmp = log_path.with_name(log_path.name + ".tmp")
+    tmp.write_text("".join(kept), encoding="utf-8")
+    tmp.replace(log_path)
 
 
 def run_train(cfg: TrainConfig) -> tuple[Path, list[dict]]:
@@ -313,6 +332,7 @@ def _run_train_locked(cfg: TrainConfig, ckpt_dir: Path) -> tuple[Path, list[dict
     docs_val = encode_corpus(val_ds, index, shaper, cfg.max_len) if val_ds else None
 
     log_path = ckpt_dir / LOG_NAME
+    _truncate_log(log_path, start_epoch)
     records: list[dict] = []
 
     def emit(rec: dict) -> None:
@@ -375,6 +395,61 @@ def _run_train_locked(cfg: TrainConfig, ckpt_dir: Path) -> tuple[Path, list[dict
     return ckpt_path, records
 
 
+@dataclass(frozen=True)
+class _Trained:
+    """A checkpoint restored for inference, with the atlas it was trained on."""
+
+    config: dict[str, str]
+    mcfg: ModelConfig
+    label_map: dict[str, int]
+    params: ModelParams
+    index: GlyphIndex
+
+
+def _load_trained(checkpoint_path) -> _Trained:
+    """Read the checkpoint and its stored atlas once, and check they match."""
+    ckpt = load_checkpoint(checkpoint_path)
+    mcfg, label_map, params = _restore_model(ckpt)
+    c = ckpt.config
+    index = GlyphIndex(load_atlas(c["atlas"]))
+    if index.num_glyphs != int(c["num_glyphs"]):
+        raise CompatibilityError(
+            f"atlas has {index.num_glyphs} glyphs but checkpoint was trained with "
+            f"{c['num_glyphs']}"
+        )
+    return _Trained(c, mcfg, label_map, params, index)
+
+
+def _eval_trained(
+    model: _Trained, dataset_path=None, seed: Optional[int] = None, out_path=None
+) -> Metrics:
+    c = model.config
+    ds = load_dataset(dataset_path or c["dataset"])
+    if ds.label_map != model.label_map:
+        raise CompatibilityError(
+            "dataset label map does not match the checkpoint's "
+            f"({len(ds.label_map)} vs {len(model.label_map)} classes or different labels)"
+        )
+    split_seed = seed if seed is not None else int(c["seed"])
+    _, test_ds = split_stratified(ds, 0.2, split_seed, stratified=c["stratified"] == "1")
+    docs = encode_corpus(test_ds, model.index, ArabicShaper(), model.mcfg.max_len)
+    m = _evaluate(model.params, model.mcfg, docs, test_ds.labels, model.index.bank(),
+                  int(c["batch_size"]))
+    if out_path is not None:
+        Path(out_path).write_text(metrics_json(m, model.label_map) + "\n", encoding="utf-8")
+    return m
+
+
+def _predict_trained(model: _Trained, text: str) -> tuple[str, np.ndarray]:
+    doc = encode_document(text, model.index, ArabicShaper(), model.mcfg.max_len)
+    ids = doc.glyph_ids[None, :]
+    lens = np.array([doc.true_len], dtype=np.int64)
+    logits = forward_documents(ids, lens, model.index.bank(), model.params, model.mcfg, "eval")
+    probs = softmax(logits.data)[0]
+    by_id = {v: k for k, v in model.label_map.items()}
+    return by_id[int(np.argmax(probs))], probs
+
+
 def run_eval(
     checkpoint_path,
     dataset_path=None,
@@ -382,48 +457,29 @@ def run_eval(
     out_path=None,
 ) -> Metrics:
     """Re-create the held-out split from the stored seed and score it."""
-    ckpt = load_checkpoint(checkpoint_path)
-    mcfg, label_map, params = _restore_model(ckpt)
-    c = ckpt.config
-    ds = load_dataset(dataset_path or c["dataset"])
-    if ds.label_map != label_map:
-        raise CompatibilityError(
-            "dataset label map does not match the checkpoint's "
-            f"({len(ds.label_map)} vs {len(label_map)} classes or different labels)"
-        )
-    atlas = load_atlas(c["atlas"])
-    index = GlyphIndex(atlas)
-    if index.num_glyphs != int(c["num_glyphs"]):
-        raise CompatibilityError(
-            f"atlas has {index.num_glyphs} glyphs but checkpoint was trained with "
-            f"{c['num_glyphs']}"
-        )
-    split_seed = seed if seed is not None else int(c["seed"])
-    _, test_ds = split_stratified(ds, 0.2, split_seed, stratified=c["stratified"] == "1")
-    shaper = ArabicShaper()
-    docs = encode_corpus(test_ds, index, shaper, mcfg.max_len)
-    m = _evaluate(params, mcfg, docs, test_ds.labels, index.bank(), int(c["batch_size"]))
-    if out_path is not None:
-        Path(out_path).write_text(metrics_json(m, label_map) + "\n", encoding="utf-8")
-    return m
+    return _eval_trained(_load_trained(checkpoint_path), dataset_path, seed, out_path)
 
 
 def predict_text(checkpoint_path, text: str) -> tuple[str, np.ndarray]:
     """Classify one document; returns (label, per-class probabilities)."""
-    ckpt = load_checkpoint(checkpoint_path)
-    mcfg, label_map, params = _restore_model(ckpt)
-    c = ckpt.config
-    atlas = load_atlas(c["atlas"])
-    index = GlyphIndex(atlas)
-    if index.num_glyphs != int(c["num_glyphs"]):
-        raise CompatibilityError(
-            f"atlas has {index.num_glyphs} glyphs but checkpoint was trained with "
-            f"{c['num_glyphs']}"
-        )
-    doc = encode_document(text, index, ArabicShaper(), mcfg.max_len)
-    ids = doc.glyph_ids[None, :]
-    lens = np.array([doc.true_len], dtype=np.int64)
-    logits = forward_documents(ids, lens, index.bank(), params, mcfg, "eval")
-    probs = softmax(logits.data)[0]
-    by_id = {v: k for k, v in label_map.items()}
-    return by_id[int(np.argmax(probs))], probs
+    return _predict_trained(_load_trained(checkpoint_path), text)
+
+
+def export_embeddings(params: ModelParams, atlas: GlyphAtlas, path) -> int:
+    """Write one `key<TAB>128 floats` line per atlas entry; returns the count.
+
+    Keys are the entry codepoints in hex, '+'-joined. Encoding runs in
+    chunks so large atlases stay within memory.
+    """
+    keys = list(atlas.entries)
+    written = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(keys), 256):
+            chunk = keys[start : start + 256]
+            feats = np.stack([to_feature(atlas.entries[k]) for k in chunk])
+            emb = _encoder_stack(Tensor(feats), params.params).data
+            for key, vec in zip(chunk, emb):
+                name = "+".join(f"{cp:04X}" for cp in key)
+                fh.write(name + "\t" + "\t".join(repr(float(v)) for v in vec) + "\n")
+                written += 1
+    return written

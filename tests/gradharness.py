@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from glyphtext import models
-from glyphtext.balance import cb_softmax_loss
+from glyphtext.balance import cb_weights
 from glyphtext.nn import ops
 from glyphtext.nn.tensor import Tensor
 
@@ -122,7 +122,7 @@ def build_composite(seed: int):
 
     def f():
         logits = models.forward_documents(ids, lengths, bank, mp, cfg, "eval")
-        return cb_softmax_loss(logits, labels, counts, 0.99)
+        return ops.softmax_cross_entropy(logits, labels, cb_weights(counts, 0.99))
 
     return f, list(mp.params.values())
 

@@ -17,6 +17,7 @@ from glyphtext.atlas import (
     to_feature,
 )
 from glyphtext.errors import AtlasError
+from glyphtext.pipeline import GlyphIndex
 from glyphtext.shaping import ArabicShaper, Cluster, Form, ShapedCluster, presentation_form
 
 BEH = 0x0628
@@ -117,14 +118,15 @@ def test_resolution_chain_prefers_exact_then_positional_then_isolated():
 
     atlas.add((ini, FATHA), bytes([3]) * BITMAP_BYTES)
     assert atlas.resolve(sc) == (ini, FATHA)  # exact key wins
-    assert atlas.lookup(sc) == bytes([3]) * BITMAP_BYTES
 
 
 def test_lookup_returns_fallback_for_unknown():
     atlas = GlyphAtlas(fallback=bytes([7]) * BITMAP_BYTES)
     sc = ArabicShaper().shape_text("س")[0]
     assert atlas.resolve(sc) is None
-    assert atlas.lookup(sc) == bytes([7]) * BITMAP_BYTES
+    index = GlyphIndex(atlas)
+    assert index.id_for(sc) == index.fallback_id
+    assert np.array_equal(index.bank()[index.fallback_id], to_feature(bytes([7]) * BITMAP_BYTES))
 
 
 def test_to_feature_scales_to_unit_interval():

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from glyphtext.balance import cb_softmax_loss, cb_weights, effective_number
+from glyphtext.balance import cb_weights, effective_number
 from glyphtext.errors import ParameterError
 from glyphtext.nn.ops import softmax_cross_entropy
 from glyphtext.nn.tensor import Tensor
@@ -68,11 +68,9 @@ def test_cb_weights_normalization_and_order():
     w = cb_weights(counts, 0.99)
     assert w.sum() == pytest.approx(len(counts), rel=1e-12)
     assert w[2] > w[1] > w[0]  # rarer class, larger weight
-    raw = cb_weights(counts, 0.99, normalize=False)
-    want = np.array([1.0 / oracle_effective(int(n), 0.99) for n in counts])
-    assert np.allclose(raw, want, rtol=1e-9)
-    # normalization is a pure rescale
-    assert np.allclose(w / w.sum() , raw / raw.sum(), rtol=1e-12)
+    # the weights are the oracle's 1 / E_n, rescaled to sum to the class count
+    raw = np.array([1.0 / oracle_effective(int(n), 0.99) for n in counts])
+    assert np.allclose(w, raw * (len(counts) / raw.sum()), rtol=1e-9)
 
 
 def test_cb_weights_beta_zero_is_uniform():
@@ -85,14 +83,10 @@ def test_cb_softmax_loss_equals_weighted_cross_entropy():
     logits = rng.normal(size=(6, 4)).astype(np.float32)
     labels = np.array([0, 1, 2, 3, 1, 2])
     counts = np.array([500, 40, 7, 2])
-    got = cb_softmax_loss(Tensor(logits), labels, counts, 0.999)
-    want = softmax_cross_entropy(
-        Tensor(logits), labels, class_weights=cb_weights(counts, 0.999)
-    )
-    assert got.data == pytest.approx(want.data)
+    w = cb_weights(counts, 0.999)
+    got = softmax_cross_entropy(Tensor(logits), labels, class_weights=w)
 
     # float64 brute force for the whole path
-    w = cb_weights(counts, 0.999)
     z = logits.astype(np.float64)
     p = np.exp(z - z.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)

@@ -9,15 +9,10 @@ import pytest
 
 from glyphtext.atlas import build_synthetic_atlas
 from glyphtext.errors import ShapeError
-from glyphtext.metrics import (
-    confusion,
-    export_embeddings,
-    f_scores,
-    majority_baseline,
-    metrics_json,
-)
+from glyphtext.metrics import Metrics, confusion, f_scores, metrics_json
 from glyphtext.models import ModelConfig, init_params
 from glyphtext.pipeline import Dataset
+from glyphtext.train import export_embeddings
 
 
 def brute_force(cm):
@@ -87,6 +82,15 @@ def test_macro_averages_over_all_mapped_classes():
     m = f_scores(cm)
     assert m.f1.tolist() == [1.0, 0.0]
     assert m.macro_f == 0.5
+
+
+def majority_baseline(train: Dataset, test: Dataset) -> Metrics:
+    """Metrics of always predicting the most frequent training label
+    (ties broken toward the lowest label id)."""
+    counts = np.bincount(train.labels, minlength=train.num_classes)
+    majority = int(counts.argmax())  # argmax returns the first (lowest id) maximum
+    preds = np.full(test.labels.shape, majority, dtype=np.int64)
+    return f_scores(confusion(preds, test.labels, train.num_classes))
 
 
 def test_majority_baseline():

@@ -10,8 +10,8 @@ from glyphtext.models import (
     CLCNN_MIN_LEN,
     ModelConfig,
     bigru_forward,
+    _encoder_stack,
     clcnn_forward,
-    encode_chars,
     encode_unique,
     forward_documents,
     init_params,
@@ -75,17 +75,6 @@ def test_parameter_shapes_pin_the_architecture():
 # character encoder
 
 
-def test_encode_chars_shape_and_count_check():
-    cfg = bigru_cfg()
-    params = init_params(cfg, seed=0)
-    rng = np.random.default_rng(0)
-    flat = Tensor(rng.random((6, 1, 36, 36), dtype=F32))
-    out = encode_chars(flat, params, batch=2, length=3)
-    assert out.shape == (2, 3, 128)
-    with pytest.raises(ShapeError):
-        encode_chars(flat, params, batch=2, length=4)
-
-
 def test_encode_unique_matches_per_position_encoding():
     cfg = bigru_cfg()
     params = init_params(cfg, seed=1)
@@ -93,8 +82,8 @@ def test_encode_unique_matches_per_position_encoding():
     bank = rand_bank(5, rng)
     ids = np.array([[1, 3, 3], [4, 1, 0]])
     dedup = encode_unique(ids, bank, params)
-    naive = encode_chars(Tensor(bank[ids.ravel()]), params, batch=2, length=3)
-    assert np.allclose(dedup.data, naive.data, atol=1e-5)
+    naive = _encoder_stack(Tensor(bank[ids.ravel()]), params.params).data.reshape(2, 3, 128)
+    assert np.allclose(dedup.data, naive, atol=1e-5)
     # gathered rows for the same glyph id are bitwise identical
     assert np.array_equal(dedup.data[0, 1], dedup.data[0, 2])
     assert np.array_equal(dedup.data[0, 0], dedup.data[1, 1])

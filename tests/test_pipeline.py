@@ -17,7 +17,6 @@ from glyphtext.pipeline import (
     PAD_ID,
     Dataset,
     GlyphIndex,
-    batch_iter,
     class_counts,
     encode_document,
     iter_id_batches,
@@ -66,14 +65,15 @@ def test_load_dataset_interns_labels_in_first_appearance_order(tmp_path):
 
 def test_load_dataset_drops_empty_texts_and_reports(tmp_path, caplog):
     p = tmp_path / "ds.tsv"
-    p.write_text("a\tكلام\nb\t\na\tمزيد\n", encoding="utf-8")
+    # the third line holds only zero-width characters: it normalizes to nothing
+    p.write_text("a\tكلام\nb\t\nc\t\u200b\u200c\na\tمزيد\n", encoding="utf-8")
     with caplog.at_level("WARNING"):
         ds = load_dataset(p)
     assert len(ds) == 2
-    assert ds.dropped_empty == 1
-    assert any("dropped 1" in r.message for r in caplog.records)
+    assert ds.dropped_empty == 2
+    assert any("dropped 2" in r.message for r in caplog.records)
     # a label seen only on dropped lines must not be interned
-    assert "b" not in ds.label_map
+    assert "b" not in ds.label_map and "c" not in ds.label_map
 
 
 def test_load_dataset_errors(tmp_path):
@@ -232,17 +232,6 @@ def test_unbounded_batches_pad_to_batch_maximum(index, shaper):
     docs = encode_corpus(ds, index, shaper, None)
     for ids, lens, _ in iter_id_batches(docs, ds.labels, 2, None, seed=0, epoch=0):
         assert ids.shape[1] == lens.max()
-
-
-def test_batch_iter_yields_bitplanes(index, shaper):
-    ds, _ = corpus(index, shaper, n=4, max_len=5)
-    (planes, lens, labs), = batch_iter(ds, index, shaper, batch_size=4, max_len=5)
-    assert planes.shape == (4 * 5, 1, 36, 36)
-    assert lens.shape == labs.shape == (4,)
-    # padding rows are blank bitmaps
-    grid = planes.reshape(4, 5, 1, 36, 36)
-    for row, n in enumerate(lens):
-        assert (grid[row, n:] == 0).all()
 
 
 def test_batching_rejects_degenerate_inputs(index, shaper):

@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import glyphtext.atlas
+import glyphtext.checkpoint
+import glyphtext.train
 from glyphtext.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from glyphtext.cli import main
 from glyphtext.errors import (
@@ -118,6 +123,26 @@ def test_checkpoint_rejects_corruption(tmp_path):
         save_checkpoint(tmp_path / "k.bin", Checkpoint({"a=b": "v"}, {}))
 
 
+def test_save_checkpoint_fsyncs_before_rename(tmp_path, monkeypatch):
+    events = []
+    fsync, replace_ = os.fsync, Path.replace
+
+    def record_fsync(fd):
+        events.append("fsync")
+        fsync(fd)
+
+    def record_replace(self, target):
+        events.append("replace")
+        return replace_(self, target)
+
+    monkeypatch.setattr(os, "fsync", record_fsync)
+    monkeypatch.setattr(Path, "replace", record_replace)
+    p = tmp_path / "c.bin"
+    save_checkpoint(p, Checkpoint({"k": "v"}, {"t": np.zeros(2, np.float32)}))
+    assert events == ["fsync", "replace"]
+    assert load_checkpoint(p).config == {"k": "v"}
+
+
 # ---------------------------------------------------------------------------
 # training determinism and resume
 
@@ -162,6 +187,37 @@ def test_resume_refuses_mismatched_config(workdir):
     run_train(base_config(workdir, d, epochs=2))
     with pytest.raises(CompatibilityError, match="seed"):
         run_train(base_config(workdir, d, epochs=4, seed=1, resume=True))
+    # a different validation carve-out would change the training split
+    with pytest.raises(CompatibilityError, match="val_fraction"):
+        run_train(base_config(workdir, d, epochs=4, val_fraction=0.3, resume=True))
+
+
+def test_resumed_log_equals_unbroken_log(workdir):
+    d = workdir / "run_log"
+    run_train(base_config(workdir, d, epochs=2))
+    # a crash after an epoch's log line but before its checkpoint leaves
+    # a line that the resumed run writes again
+    with open(d / "train.log", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"epoch": 2, "loss": 9.0}) + "\n")
+    run_train(base_config(workdir, d, epochs=3, resume=True))
+    ref = workdir / "run_log_ref"
+    run_train(base_config(workdir, ref, epochs=3))
+    assert (d / "train.log").read_bytes() == (ref / "train.log").read_bytes()
+    # a fresh run overwrites the checkpoint, so it starts a fresh log too
+    run_train(base_config(workdir, d, epochs=3))
+    assert (d / "train.log").read_bytes() == (ref / "train.log").read_bytes()
+
+
+def test_run_train_drops_records_that_normalize_to_nothing(workdir, tmp_path):
+    ds = synth_longtail(3, 4, 4, seed=0)
+    names = {v: k for k, v in ds.label_map.items()}
+    lines = [f"{names[lab]}\t{text}" for lab, text in ds.records] + [f"{names[0]}\t\u200b"]
+    data = tmp_path / "blank.tsv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert len(lines) == 13
+    _, records = run_train(base_config(workdir, tmp_path / "blank", dataset=str(data),
+                                       epochs=1))
+    assert len(records) == 1 and np.isfinite(records[0]["loss"])
 
 
 def test_epochs_zero_saves_an_initial_checkpoint(workdir, tmp_path):
@@ -240,6 +296,38 @@ def test_predict_text_returns_label_and_distribution(workdir, trained):
 
 # ---------------------------------------------------------------------------
 # CLI surface
+
+
+def test_cli_eval_and_predict_read_each_file_once(trained, monkeypatch, capsys):
+    ckpt_path, _ = trained
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (glyphtext.train, glyphtext.checkpoint):
+        monkeypatch.setattr(mod, "load_checkpoint", counting("checkpoint", mod.load_checkpoint))
+    for mod in (glyphtext.train, glyphtext.atlas):
+        monkeypatch.setattr(mod, "load_atlas", counting("atlas", mod.load_atlas))
+
+    text = "نص تجريبي قصير"
+    assert main(["predict", "--checkpoint", str(ckpt_path), text]) == 0
+    assert calls == {"checkpoint": 1, "atlas": 1}
+    pred = json.loads(capsys.readouterr().out.strip())
+    calls.clear()
+    label, probs = predict_text(ckpt_path, text)
+    assert pred["label"] == label
+    assert list(pred["probabilities"].values()) == [float(p) for p in probs]
+
+    calls.clear()
+    assert main(["eval", "--checkpoint", str(ckpt_path)]) == 0
+    assert calls == {"checkpoint": 1, "atlas": 1}
+    blob = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    m = run_eval(ckpt_path)
+    assert (blob["micro_f"], blob["macro_f"]) == (m.micro_f, m.macro_f)
 
 
 def test_cli_train_eval_predict_export_flow(workdir, tmp_path, capsys):
