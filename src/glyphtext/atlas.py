@@ -65,7 +65,6 @@ class GlyphAtlas:
     """
 
     def __init__(self, entries: dict[GlyphKey, bytes] | None = None, fallback: bytes | None = None):
-        self.glyph_size = GLYPH_SIZE
         self.entries: dict[GlyphKey, bytes] = {}
         for key, bm in (entries or {}).items():
             self.add(key, bm)
@@ -151,7 +150,7 @@ def save_atlas(atlas: GlyphAtlas, path: str | Path) -> None:
     """Write the binary atlas format (little-endian, magic AGLF)."""
     buf = bytearray()
     buf += _MAGIC
-    buf += struct.pack("<III", _VERSION, atlas.glyph_size, len(atlas.entries))
+    buf += struct.pack("<III", _VERSION, GLYPH_SIZE, len(atlas.entries))
     for key, bitmap in atlas.entries.items():
         buf += struct.pack("<B", len(key))
         buf += struct.pack("<%dI" % len(key), *key)

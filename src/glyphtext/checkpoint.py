@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,8 +81,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 class _Reader:
-    # Slices of a memoryview share the file buffer, so each tensor is copied
-    # once, by `load_checkpoint`.
+    # Slices of a memoryview share the file buffer, so `load_checkpoint`
+    # copies nothing.
     def __init__(self, buf: bytes, path):
         self.buf = memoryview(buf)
         self.pos = 0
@@ -106,6 +106,8 @@ class _Reader:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Parse a checkpoint file. Its tensors are read-only, possibly unaligned
+    views into the file buffer; a caller copies the ones it keeps."""
     path = Path(path)
     r = _Reader(path.read_bytes(), path)
     if r.take(4) != MAGIC:
@@ -125,8 +127,7 @@ def load_checkpoint(path) -> Checkpoint:
         ndim = r.u8()
         shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
         count = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(r.take(4 * count), dtype=np.float32).reshape(shape).copy()
-        tensors[name] = data
+        tensors[name] = np.frombuffer(r.take(4 * count), dtype=np.float32).reshape(shape)
     rng_blob = bytes(r.take(r.u32()))
     if r.pos != len(r.buf):
         raise CheckpointError(f"{path}: {len(r.buf) - r.pos} trailing bytes after checkpoint")

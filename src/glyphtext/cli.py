@@ -102,10 +102,8 @@ def _train_flags(c: _CommandSpec) -> None:
     c.opt("--val-fraction", type=float, default=0.0,
           help="carve a validation set out of the training split")
     c.opt("--stratified", type=_parse_bool, default=True)
-    c.opt("--mean-all-layers", type=_parse_bool, default=False,
-          help="average recurrent states across all stacked layers")
     c.opt("--resume", type=_parse_bool, default=False)
-    c.opt("--threads", type=int, default=None, help="pin BLAS thread count")
+    c.opt("--threads", type=int, default=None, help="pin BLAS thread count (>= 1)")
 
 
 def _build_cli() -> tuple[argparse.ArgumentParser, dict[str, _CommandSpec]]:
@@ -181,6 +179,10 @@ def _read_config_file(path: str, spec: _CommandSpec) -> dict[str, Any]:
 def _set_threads(n) -> None:
     if n is None:
         return
+    if n < 1:
+        from .errors import ParameterError
+
+        raise ParameterError(f"threads must be >= 1, got {n}")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         os.environ[var] = str(int(n))

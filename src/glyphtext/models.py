@@ -10,6 +10,7 @@ between the encoder and either classifier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,6 +23,7 @@ from .nn.tensor import Tensor
 __all__ = [
     "ModelConfig",
     "ModelParams",
+    "param_table",
     "init_params",
     "encode_unique",
     "wildcard_dropout",
@@ -33,6 +35,8 @@ __all__ = [
 
 GLYPH_SIZE = 36
 EMBED_DIM = 128
+GRU_HIDDEN = 128  # units per direction
+GRU_LAYERS = 3
 # Two stride-3 max-pools then an adaptive pool to length 2: need L//3//3 >= 2.
 CLCNN_MIN_LEN = 18
 
@@ -44,21 +48,13 @@ class ModelConfig:
     classifier: str  # "clcnn" | "bigru"
     num_classes: int
     max_len: Optional[int] = None  # required for clcnn; None = unbounded (bigru)
-    embed_dim: int = EMBED_DIM
     wildcard_ratio: float = 0.1
-    gru_hidden: int = 128
-    gru_layers: int = 3
-    # Alternative reading of the sentence embedding: average the concatenated
-    # states of every stacked layer instead of only the top one.
-    mean_all_layers: bool = False
 
     def __post_init__(self):
         if self.classifier not in ("clcnn", "bigru"):
             raise ParameterError(f"classifier must be 'clcnn' or 'bigru', got {self.classifier!r}")
         if self.num_classes < 2:
             raise ParameterError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.embed_dim != EMBED_DIM:
-            raise ParameterError(f"embed_dim is fixed at {EMBED_DIM}")
         if not 0.0 <= self.wildcard_ratio < 1.0:
             raise ParameterError(f"wildcard_ratio must lie in [0, 1), got {self.wildcard_ratio}")
         if self.classifier == "clcnn":
@@ -71,8 +67,6 @@ class ModelConfig:
                 )
         if self.max_len is not None and self.max_len < 1:
             raise ParameterError(f"max_len must be >= 1, got {self.max_len}")
-        if self.gru_hidden < 1 or self.gru_layers < 1:
-            raise ParameterError("gru_hidden and gru_layers must be positive")
 
 
 @dataclass
@@ -82,62 +76,64 @@ class ModelParams:
     params: dict[str, Tensor]
     state: dict[str, np.ndarray]
 
-    def trainable(self) -> dict[str, Tensor]:
-        return self.params
 
+def param_table(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Name -> (shape, init) of every tensor `config` implies, in the order
+    `init_params` draws them.
 
-def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(_f32)
+    init is "uniform" (U(±1/sqrt(fan_in)), fan_in = prod(shape[1:])),
+    "zeros" or "ones". Names under "state." are the batch-norm running
+    statistics, which are not learned.
+    """
+    u, z = "uniform", "zeros"
+    t = {
+        # Character encoder (shared by both classifiers).
+        "enc.conv1.w": ((32, 1, 3, 3), u), "enc.conv1.b": ((32,), z),
+        "enc.conv2.w": ((32, 32, 3, 3), u), "enc.conv2.b": ((32,), z),
+        "enc.conv3.w": ((32, 32, 3, 3), u), "enc.conv3.b": ((32,), z),
+        "enc.fc1.w": ((EMBED_DIM, 800), u), "enc.fc1.b": ((EMBED_DIM,), z),
+        "enc.fc2.w": ((EMBED_DIM, EMBED_DIM), u), "enc.fc2.b": ((EMBED_DIM,), z),
+    }
+    nc = config.num_classes
+    if config.classifier == "clcnn":
+        for i in (1, 2, 3, 4):
+            t[f"cls.conv{i}.w"] = ((512, EMBED_DIM if i == 1 else 512, 3), u)
+            t[f"cls.conv{i}.b"] = ((512,), z)
+        t["cls.fc1.w"], t["cls.fc1.b"] = ((1024, 1024), u), ((1024,), z)
+        t["cls.fc2.w"], t["cls.fc2.b"] = ((nc, 1024), u), ((nc,), z)
+    else:
+        h = GRU_HIDDEN
+        for layer in range(1, GRU_LAYERS + 1):
+            d_in = EMBED_DIM if layer == 1 else 2 * h
+            for d in ("f", "b"):
+                t[f"cls.gru{layer}{d}.wx"] = ((3 * h, d_in), u)
+                t[f"cls.gru{layer}{d}.wh"] = ((3 * h, h), u)
+                t[f"cls.gru{layer}{d}.b"] = ((3 * h,), z)
+        t["cls.bn.gamma"], t["cls.bn.beta"] = ((2 * h,), "ones"), ((2 * h,), z)
+        t["state.cls.bn.running_mean"] = ((2 * h,), z)
+        t["state.cls.bn.running_var"] = ((2 * h,), "ones")
+        t["cls.fc.w"], t["cls.fc.b"] = ((nc, 2 * h), u), ((nc,), z)
+    return t
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
-    """Deterministic parameter set for `config`: U(±1/sqrt(fan_in)) weights,
-    zero biases, batch-norm scale 1 / shift 0, running stats (0, 1)."""
+    """Deterministic parameter set for `config`, drawn from `param_table`:
+    U(±1/sqrt(fan_in)) weights, zero biases, batch-norm scale 1 / shift 0,
+    running stats (0, 1)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    p: dict[str, np.ndarray] = {}
+    params: dict[str, Tensor] = {}
     state: dict[str, np.ndarray] = {}
-
-    # Character encoder (shared by both classifiers).
-    p["enc.conv1.w"] = _uniform(rng, (32, 1, 3, 3), 1 * 9)
-    p["enc.conv1.b"] = np.zeros(32, dtype=_f32)
-    p["enc.conv2.w"] = _uniform(rng, (32, 32, 3, 3), 32 * 9)
-    p["enc.conv2.b"] = np.zeros(32, dtype=_f32)
-    p["enc.conv3.w"] = _uniform(rng, (32, 32, 3, 3), 32 * 9)
-    p["enc.conv3.b"] = np.zeros(32, dtype=_f32)
-    p["enc.fc1.w"] = _uniform(rng, (128, 800), 800)
-    p["enc.fc1.b"] = np.zeros(128, dtype=_f32)
-    p["enc.fc2.w"] = _uniform(rng, (128, 128), 128)
-    p["enc.fc2.b"] = np.zeros(128, dtype=_f32)
-
-    nc = config.num_classes
-    if config.classifier == "clcnn":
-        p["cls.conv1.w"] = _uniform(rng, (512, 128, 3), 128 * 3)
-        p["cls.conv1.b"] = np.zeros(512, dtype=_f32)
-        for i in (2, 3, 4):
-            p[f"cls.conv{i}.w"] = _uniform(rng, (512, 512, 3), 512 * 3)
-            p[f"cls.conv{i}.b"] = np.zeros(512, dtype=_f32)
-        p["cls.fc1.w"] = _uniform(rng, (1024, 1024), 1024)
-        p["cls.fc1.b"] = np.zeros(1024, dtype=_f32)
-        p["cls.fc2.w"] = _uniform(rng, (nc, 1024), 1024)
-        p["cls.fc2.b"] = np.zeros(nc, dtype=_f32)
-    else:
-        h = config.gru_hidden
-        for layer in range(1, config.gru_layers + 1):
-            d_in = config.embed_dim if layer == 1 else 2 * h
-            for d in ("f", "b"):
-                p[f"cls.gru{layer}{d}.wx"] = _uniform(rng, (3 * h, d_in), d_in)
-                p[f"cls.gru{layer}{d}.wh"] = _uniform(rng, (3 * h, h), h)
-                p[f"cls.gru{layer}{d}.b"] = np.zeros(3 * h, dtype=_f32)
-        p["cls.bn.gamma"] = np.ones(2 * h, dtype=_f32)
-        p["cls.bn.beta"] = np.zeros(2 * h, dtype=_f32)
-        state["cls.bn.running_mean"] = np.zeros(2 * h, dtype=_f32)
-        state["cls.bn.running_var"] = np.ones(2 * h, dtype=_f32)
-        p["cls.fc.w"] = _uniform(rng, (nc, 2 * h), 2 * h)
-        p["cls.fc.b"] = np.zeros(nc, dtype=_f32)
-
-    tensors = {k: Tensor(v, requires_grad=True) for k, v in p.items()}
-    return ModelParams(tensors, state)
+    for name, (shape, init) in param_table(config).items():
+        if init == "uniform":
+            bound = 1.0 / np.sqrt(math.prod(shape[1:]))
+            arr = rng.uniform(-bound, bound, size=shape).astype(_f32)
+        else:
+            arr = (np.zeros if init == "zeros" else np.ones)(shape, dtype=_f32)
+        if name.startswith("state."):
+            state[name[len("state.") :]] = arr
+        else:
+            params[name] = Tensor(arr, requires_grad=True)
+    return ModelParams(params, state)
 
 
 def _encoder_stack(x: Tensor, params: dict[str, Tensor]) -> Tensor:
@@ -186,22 +182,22 @@ def wildcard_dropout(
     return ops.dropout(embeddings, ratio, rng, mode, mask_shape=(B, L, 1))
 
 
-def clcnn_forward(embeddings: Tensor, params: ModelParams, config: ModelConfig, mode: str) -> Tensor:
+def clcnn_forward(embeddings: Tensor, params: ModelParams, config: ModelConfig) -> Tensor:
     """(B, max_len, 128) embeddings -> (B, nc) logits through the 1-d conv stack."""
-    if embeddings.ndim != 3 or embeddings.shape[2] != config.embed_dim:
-        raise ShapeError(f"embeddings must be (B, L, {config.embed_dim}), got {embeddings.shape}")
+    if embeddings.ndim != 3 or embeddings.shape[2] != EMBED_DIM:
+        raise ShapeError(f"embeddings must be (B, L, {EMBED_DIM}), got {embeddings.shape}")
     if embeddings.shape[1] != config.max_len:
         raise ShapeError(
             f"clcnn expects sequence length {config.max_len}, got {embeddings.shape[1]}"
         )
     p = params.params
     h = ops.swap_axes(embeddings, 1, 2)  # (B, 128, L)
-    h = ops.relu(ops.conv1d(h, p["cls.conv1.w"], p["cls.conv1.b"], padding="same"))
+    h = ops.relu(ops.conv1d(h, p["cls.conv1.w"], p["cls.conv1.b"]))
     h = ops.maxpool1d(h, 3)
-    h = ops.relu(ops.conv1d(h, p["cls.conv2.w"], p["cls.conv2.b"], padding="same"))
+    h = ops.relu(ops.conv1d(h, p["cls.conv2.w"], p["cls.conv2.b"]))
     h = ops.maxpool1d(h, 3)
-    h = ops.relu(ops.conv1d(h, p["cls.conv3.w"], p["cls.conv3.b"], padding="same"))
-    h = ops.relu(ops.conv1d(h, p["cls.conv4.w"], p["cls.conv4.b"], padding="same"))
+    h = ops.relu(ops.conv1d(h, p["cls.conv3.w"], p["cls.conv3.b"]))
+    h = ops.relu(ops.conv1d(h, p["cls.conv4.w"], p["cls.conv4.b"]))
     h = ops.adaptive_maxpool1d(h, 2)  # (B, 512, 2)
     h = ops.reshape(h, (h.shape[0], 1024))
     h = ops.relu(ops.linear(h, p["cls.fc1.w"], p["cls.fc1.b"]))
@@ -267,8 +263,8 @@ def bigru_forward(
     mode: str,
 ) -> Tensor:
     """(B, L, 128) embeddings + per-document lengths -> (B, nc) logits."""
-    if embeddings.ndim != 3 or embeddings.shape[2] != config.embed_dim:
-        raise ShapeError(f"embeddings must be (B, L, {config.embed_dim}), got {embeddings.shape}")
+    if embeddings.ndim != 3 or embeddings.shape[2] != EMBED_DIM:
+        raise ShapeError(f"embeddings must be (B, L, {EMBED_DIM}), got {embeddings.shape}")
     B, L, _ = embeddings.shape
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.shape != (B,):
@@ -280,8 +276,7 @@ def bigru_forward(
     mask = (np.arange(L)[None, :] < lengths[:, None]).astype(_f32)
 
     layer_in = embeddings
-    layer_outputs: list[Tensor] = []
-    for layer in range(1, config.gru_layers + 1):
+    for layer in range(1, GRU_LAYERS + 1):
         fwd = _gru_direction(
             layer_in, mask, p[f"cls.gru{layer}f.wx"], p[f"cls.gru{layer}f.wh"],
             p[f"cls.gru{layer}f.b"], reverse=False,
@@ -291,17 +286,8 @@ def bigru_forward(
             p[f"cls.gru{layer}b.b"], reverse=True,
         )
         layer_in = ops.concat_last(fwd, bwd)  # (B, L, 2h)
-        layer_outputs.append(layer_in)
 
-    if config.mean_all_layers:
-        pooled = [ops.masked_mean_time(out, lengths) for out in layer_outputs]
-        acc = pooled[0]
-        for extra in pooled[1:]:
-            acc = ops.add(acc, extra)
-        sent = ops.affine(acc, 1.0 / len(pooled))
-    else:
-        sent = ops.masked_mean_time(layer_outputs[-1], lengths)  # (B, 2h)
-
+    sent = ops.masked_mean_time(layer_in, lengths)  # (B, 2h)
     sent = ops.batch_norm(
         sent, p["cls.bn.gamma"], p["cls.bn.beta"],
         params.state["cls.bn.running_mean"], params.state["cls.bn.running_var"],
@@ -323,5 +309,5 @@ def forward_documents(
     emb = encode_unique(glyph_ids, bank, params)
     emb = wildcard_dropout(emb, config.wildcard_ratio, rng, mode)
     if config.classifier == "clcnn":
-        return clcnn_forward(emb, params, config, mode)
+        return clcnn_forward(emb, params, config)
     return bigru_forward(emb, np.asarray(lengths), params, config, mode)

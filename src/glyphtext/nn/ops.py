@@ -7,19 +7,19 @@ computed as full correlations with flipped kernels so both directions run
 on BLAS. Max pooling routes gradient to the first maximal element of each
 window (lowest linear index).
 
-Unless noted, operators accept a leading batch axis and also the unbatched
-shapes; unbatched inputs return unbatched outputs.
+Operators take exactly the batched shapes the models pass them: a leading
+batch axis is required, never added.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import LabelError, ParameterError, ShapeError
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor
 
 __all__ = [
     "add",
@@ -46,7 +46,6 @@ __all__ = [
     "batch_norm",
     "dropout",
     "softmax",
-    "softmax_ce_with_grad",
     "softmax_cross_entropy",
 ]
 
@@ -74,7 +73,6 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
 
     def backward(g):
@@ -85,7 +83,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
 
     def backward(g):
@@ -269,51 +266,41 @@ def tsum(x: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w.T (+ b) for x of shape (n_in,) or (B, n_in), w (n_out, n_in)."""
-    squeeze = x.ndim == 1
-    x2 = reshape(x, (1, -1)) if squeeze else x
-    if x2.ndim != 2 or w.ndim != 2:
+    """x @ w.T (+ b) for x of shape (B, n_in) and w of shape (n_out, n_in)."""
+    if x.ndim != 2 or w.ndim != 2:
         raise ShapeError(f"linear needs 2-D input/weight, got {x.shape} and {w.shape}")
-    if x2.shape[1] != w.shape[1]:
-        raise ShapeError(f"linear input width {x2.shape[1]} != weight fan-in {w.shape[1]}")
-    data = x2.data @ w.data.T
+    if x.shape[1] != w.shape[1]:
+        raise ShapeError(f"linear input width {x.shape[1]} != weight fan-in {w.shape[1]}")
+    data = x.data @ w.data.T
     if b is not None:
         if b.shape != (w.shape[0],):
             raise ShapeError(f"linear bias shape {b.shape} != ({w.shape[0]},)")
         data = data + b.data
 
-    parents = (x2, w) if b is None else (x2, w, b)
+    parents = (x, w) if b is None else (x, w, b)
 
     def backward(g):
-        if x2.requires_grad:
-            x2.accumulate(g @ w.data)
+        if x.requires_grad:
+            x.accumulate(g @ w.data)
         if w.requires_grad:
-            w.accumulate(g.T @ x2.data)
+            w.accumulate(g.T @ x.data)
         if b is not None:
             b.accumulate(g.sum(axis=0))
 
-    out = _node(data, parents, backward)
-    return reshape(out, (w.shape[0],)) if squeeze else out
-
-
-def _promote(x: Tensor, ndim: int) -> tuple[Tensor, bool]:
-    if x.ndim == ndim:
-        return x, False
-    if x.ndim == ndim - 1:
-        return reshape(x, (1, *x.shape)), True
-    raise ShapeError(f"expected {ndim - 1}- or {ndim}-D input, got shape {x.shape}")
+    return _node(data, parents, backward)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Valid (unpadded) stride-1 2-D convolution.
 
-    x: (C, H, W) or (B, C, H, W); w: (F, C, kh, kw); b: (F,). Output spatial
-    size is (H - kh + 1, W - kw + 1).
+    x: (B, C, H, W); w: (F, C, kh, kw); b: (F,). Output spatial size is
+    (H - kh + 1, W - kw + 1).
     """
-    x4, squeeze = _promote(x, 4)
+    if x.ndim != 4:
+        raise ShapeError(f"conv2d needs (B, C, H, W) input, got {x.shape}")
     if w.ndim != 4:
         raise ShapeError(f"conv2d weight must be (F, C, kh, kw), got {w.shape}")
-    B, C, H, W = x4.shape
+    B, C, H, W = x.shape
     F, Cw, kh, kw = w.shape
     if Cw != C:
         raise ShapeError(f"conv2d channel axis mismatch: input C={C}, weight C={Cw}")
@@ -323,7 +310,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"conv2d bias shape {b.shape} != ({F},)")
     OH, OW = H - kh + 1, W - kw + 1
 
-    win = sliding_window_view(x4.data, (kh, kw), axis=(2, 3))  # (B,C,OH,OW,kh,kw)
+    win = sliding_window_view(x.data, (kh, kw), axis=(2, 3))  # (B,C,OH,OW,kh,kw)
     cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(B * OH * OW, C * kh * kw)
     out = cols @ w.data.reshape(F, -1).T + b.data
     out = np.ascontiguousarray(out.reshape(B, OH, OW, F).transpose(0, 3, 1, 2))
@@ -334,7 +321,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             w.accumulate((gmat.T @ cols).reshape(w.shape))
         if b.requires_grad:
             b.accumulate(gmat.sum(axis=0))
-        if x4.requires_grad:
+        if x.requires_grad:
             gpad = np.zeros((B, F, OH + 2 * (kh - 1), OW + 2 * (kw - 1)), dtype=_f32)
             gpad[:, :, kh - 1 : kh - 1 + OH, kw - 1 : kw - 1 + OW] = g
             win2 = sliding_window_view(gpad, (kh, kw), axis=(2, 3))  # (B,F,H,W,kh,kw)
@@ -345,71 +332,65 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 w.data[:, :, ::-1, ::-1].transpose(0, 2, 3, 1)
             ).reshape(F * kh * kw, C)
             gx = (cols2 @ wf).reshape(B, H, W, C).transpose(0, 3, 1, 2)
-            x4.accumulate(np.ascontiguousarray(gx))
+            x.accumulate(np.ascontiguousarray(gx))
 
-    out_t = _node(out, (x4, w, b), backward)
-    return reshape(out_t, out_t.shape[1:]) if squeeze else out_t
+    return _node(out, (x, w, b), backward)
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor, padding: str = "valid") -> Tensor:
-    """Stride-1 1-D convolution over (C, L) or (B, C, L) input.
+def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Stride-1 1-D convolution over (B, C, L) input with an odd kernel k.
 
-    padding "valid" shortens the length by k - 1; "same" zero-pads to keep
-    it (one zero on each end for k = 3).
+    Zero-pads (k - 1) / 2 positions at each end, so the output keeps length L.
     """
-    if padding not in ("valid", "same"):
-        raise ParameterError(f"conv1d padding must be 'valid' or 'same', got {padding!r}")
-    x3, squeeze = _promote(x, 3)
+    if x.ndim != 3:
+        raise ShapeError(f"conv1d needs (B, C, L) input, got {x.shape}")
     if w.ndim != 3:
         raise ShapeError(f"conv1d weight must be (F, C, k), got {w.shape}")
-    B, C, L = x3.shape
+    B, C, L = x.shape
     F, Cw, k = w.shape
     if Cw != C:
         raise ShapeError(f"conv1d channel axis mismatch: input C={C}, weight C={Cw}")
+    if k % 2 == 0:
+        raise ShapeError(f"conv1d needs an odd kernel for same padding, got k={k}")
     if b.shape != (F,):
         raise ShapeError(f"conv1d bias shape {b.shape} != ({F},)")
-    pl = (k - 1) // 2 if padding == "same" else 0
-    pr = (k - 1) - pl if padding == "same" else 0
-    if L + pl + pr < k:
-        raise ShapeError(f"conv1d length {L} too short for kernel {k} with {padding} padding")
+    pad = (k - 1) // 2
 
-    xp = np.pad(x3.data, ((0, 0), (0, 0), (pl, pr))) if padding == "same" else x3.data
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
     Lp = xp.shape[2]
-    OL = Lp - k + 1
-    win = sliding_window_view(xp, k, axis=2)  # (B, C, OL, k)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(B * OL, C * k)
+    win = sliding_window_view(xp, k, axis=2)  # (B, C, L, k)
+    cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(B * L, C * k)
     out = cols @ w.data.reshape(F, -1).T + b.data
-    out = np.ascontiguousarray(out.reshape(B, OL, F).transpose(0, 2, 1))
+    out = np.ascontiguousarray(out.reshape(B, L, F).transpose(0, 2, 1))
 
     def backward(g):
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(B * OL, F)
+        gmat = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(B * L, F)
         if w.requires_grad:
             w.accumulate((gmat.T @ cols).reshape(w.shape))
         if b.requires_grad:
             b.accumulate(gmat.sum(axis=0))
-        if x3.requires_grad:
-            gpad = np.zeros((B, F, OL + 2 * (k - 1)), dtype=_f32)
-            gpad[:, :, k - 1 : k - 1 + OL] = g
+        if x.requires_grad:
+            gpad = np.zeros((B, F, L + 2 * (k - 1)), dtype=_f32)
+            gpad[:, :, k - 1 : k - 1 + L] = g
             win2 = sliding_window_view(gpad, k, axis=2)  # (B, F, Lp, k)
             cols2 = np.ascontiguousarray(win2.transpose(0, 2, 1, 3)).reshape(B * Lp, F * k)
             wf = np.ascontiguousarray(w.data[:, :, ::-1].transpose(0, 2, 1)).reshape(F * k, C)
             gx = (cols2 @ wf).reshape(B, Lp, C).transpose(0, 2, 1)
-            if pl or pr:
-                gx = gx[:, :, pl : pl + L]
-            x3.accumulate(np.ascontiguousarray(gx))
+            x.accumulate(np.ascontiguousarray(gx[:, :, pad : pad + L]))
 
-    out_t = _node(out, (x3, w, b), backward)
-    return reshape(out_t, out_t.shape[1:]) if squeeze else out_t
+    return _node(out, (x, w, b), backward)
 
 
 def maxpool2d(x: Tensor, k: int) -> Tensor:
-    """Non-overlapping k x k max pooling; trailing remainder rows/cols drop."""
-    x4, squeeze = _promote(x, 4)
-    B, C, H, W = x4.shape
+    """Non-overlapping k x k max pooling over (B, C, H, W); trailing
+    remainder rows/cols drop."""
+    if x.ndim != 4:
+        raise ShapeError(f"maxpool2d needs (B, C, H, W) input, got {x.shape}")
+    B, C, H, W = x.shape
     if H < k or W < k:
         raise ShapeError(f"maxpool2d input {H}x{W} smaller than window {k}x{k}")
     OH, OW = H // k, W // k
-    xr = x4.data[:, :, : OH * k, : OW * k]
+    xr = x.data[:, :, : OH * k, : OW * k]
     xr = xr.reshape(B, C, OH, k, OW, k).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, OH, OW, k * k)
     idx = xr.argmax(axis=-1)  # first max = lowest linear index in the window
     out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
@@ -419,24 +400,24 @@ def maxpool2d(x: Tensor, k: int) -> Tensor:
     def backward(g):
         gwin = np.zeros((B, C, OH, OW, k * k), dtype=_f32)
         np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
-        gx = np.zeros_like(x4.data)
+        gx = np.zeros_like(x.data)
         gx[:, :, : OH * k, : OW * k] = (
             gwin.reshape(B, C, OH, OW, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, OH * k, OW * k)
         )
-        x4.accumulate(gx)
+        x.accumulate(gx)
 
-    out_t = _node(np.ascontiguousarray(out), (x4,), backward)
-    return reshape(out_t, out_t.shape[1:]) if squeeze else out_t
+    return _node(np.ascontiguousarray(out), (x,), backward)
 
 
 def maxpool1d(x: Tensor, k: int) -> Tensor:
-    """Non-overlapping window-k max pooling over the last axis."""
-    x3, squeeze = _promote(x, 3)
-    B, C, L = x3.shape
+    """Non-overlapping window-k max pooling over the last axis of (B, C, L)."""
+    if x.ndim != 3:
+        raise ShapeError(f"maxpool1d needs (B, C, L) input, got {x.shape}")
+    B, C, L = x.shape
     if L < k:
         raise ShapeError(f"maxpool1d length {L} smaller than window {k}")
     OL = L // k
-    xr = x3.data[:, :, : OL * k].reshape(B, C, OL, k)
+    xr = x.data[:, :, : OL * k].reshape(B, C, OL, k)
     idx = xr.argmax(axis=-1)
     out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
     if _BRANCH_TRACE is not None:
@@ -445,18 +426,19 @@ def maxpool1d(x: Tensor, k: int) -> Tensor:
     def backward(g):
         gwin = np.zeros((B, C, OL, k), dtype=_f32)
         np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
-        gx = np.zeros_like(x3.data)
+        gx = np.zeros_like(x.data)
         gx[:, :, : OL * k] = gwin.reshape(B, C, OL * k)
-        x3.accumulate(gx)
+        x.accumulate(gx)
 
-    out_t = _node(np.ascontiguousarray(out), (x3,), backward)
-    return reshape(out_t, out_t.shape[1:]) if squeeze else out_t
+    return _node(np.ascontiguousarray(out), (x,), backward)
 
 
 def adaptive_maxpool1d(x: Tensor, out_len: int) -> Tensor:
-    """Max over `out_len` tiling slices [floor(j*L/m), floor((j+1)*L/m))."""
-    x3, squeeze = _promote(x, 3)
-    B, C, L = x3.shape
+    """Max of (B, C, L) over `out_len` tiling slices
+    [floor(j*L/m), floor((j+1)*L/m))."""
+    if x.ndim != 3:
+        raise ShapeError(f"adaptive_maxpool1d needs (B, C, L) input, got {x.shape}")
+    B, C, L = x.shape
     m = int(out_len)
     if m < 1 or L < m:
         raise ShapeError(f"adaptive_maxpool1d needs 1 <= out_len <= L, got out_len={m}, L={L}")
@@ -464,7 +446,7 @@ def adaptive_maxpool1d(x: Tensor, out_len: int) -> Tensor:
     out = np.empty((B, C, m), dtype=_f32)
     idx = np.empty((B, C, m), dtype=np.int64)
     for j, (lo, hi) in enumerate(bounds):
-        seg = x3.data[:, :, lo:hi]
+        seg = x.data[:, :, lo:hi]
         local = seg.argmax(axis=-1)
         idx[:, :, j] = local + lo
         out[:, :, j] = np.take_along_axis(seg, local[..., None], axis=-1)[..., 0]
@@ -472,16 +454,18 @@ def adaptive_maxpool1d(x: Tensor, out_len: int) -> Tensor:
         _BRANCH_TRACE.append(idx.tobytes())
 
     def backward(g):
-        gx = np.zeros_like(x3.data)
+        gx = np.zeros_like(x.data)
         np.add.at(
             gx,
             (np.arange(B)[:, None, None], np.arange(C)[None, :, None], idx),
             g,
         )
-        x3.accumulate(gx)
+        x.accumulate(gx)
 
-    out_t = _node(out, (x3,), backward)
-    return reshape(out_t, out_t.shape[1:]) if squeeze else out_t
+    return _node(out, (x,), backward)
+
+
+_BN_MOMENTUM = 0.1
 
 
 def batch_norm(
@@ -492,13 +476,12 @@ def batch_norm(
     running_var: np.ndarray,
     mode: str,
     eps: float = 1e-5,
-    momentum: float = 0.1,
 ) -> Tensor:
     """Per-channel batch normalization over (B, C).
 
-    Train mode normalizes by batch statistics (biased variance) and updates
-    the running buffers in place; eval mode normalizes by the running
-    statistics. Train mode requires B >= 2.
+    Train mode normalizes by batch statistics (biased variance) and blends
+    them into the running buffers in place with momentum 0.1; eval mode
+    normalizes by the running statistics. Train mode requires B >= 2.
     """
     if mode not in ("train", "eval"):
         raise ParameterError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
@@ -514,10 +497,10 @@ def batch_norm(
     if mode == "train":
         mu = x.data.mean(axis=0)
         var = x.data.var(axis=0)  # biased
-        running_mean *= _f32(1.0 - momentum)
-        running_mean += _f32(momentum) * mu
-        running_var *= _f32(1.0 - momentum)
-        running_var += _f32(momentum) * var
+        running_mean *= _f32(1.0 - _BN_MOMENTUM)
+        running_mean += _f32(_BN_MOMENTUM) * mu
+        running_var *= _f32(1.0 - _BN_MOMENTUM)
+        running_var += _f32(_BN_MOMENTUM) * var
     else:
         mu = running_mean
         var = running_var
@@ -583,16 +566,16 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_ce_with_grad(
-    z: np.ndarray, labels: np.ndarray, class_weights: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
-    """Weighted softmax cross-entropy and its logit gradient.
+def softmax_cross_entropy(
+    logits: Tensor, labels: np.ndarray, class_weights: np.ndarray | None = None
+) -> Tensor:
+    """Tape node for the weighted softmax cross-entropy loss.
 
     loss = mean_b w[y_b] * (-log softmax(z_b)[y_b]), with the log-sum-exp
     in shifted form; gradient rows are w[y_b]/B * (softmax(z_b) - onehot).
     Unit weights are used when `class_weights` is None.
     """
-    z = np.asarray(z, dtype=_f32)
+    z = logits.data
     if z.ndim != 2:
         raise ShapeError(f"logits must be (B, C), got {z.shape}")
     B, C = z.shape
@@ -612,23 +595,16 @@ def softmax_ce_with_grad(
             raise ParameterError("class weights must be strictly positive")
 
     zs = z - z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(zs).sum(axis=1))
+    e = np.exp(zs)
+    esum = e.sum(axis=1)
     rows = np.arange(B)
-    logp_y = zs[rows, labels] - lse
+    logp_y = zs[rows, labels] - np.log(esum)
     wy = w[labels]
     loss = float((-wy * logp_y).mean())
 
-    probs = softmax(z)
-    dz = probs * (wy / B)[:, None]
+    dz = (e / esum[:, None]) * (wy / B)[:, None]
     dz[rows, labels] -= wy / B
-    return loss, dz.astype(_f32, copy=False)
-
-
-def softmax_cross_entropy(
-    logits: Tensor, labels: np.ndarray, class_weights: np.ndarray | None = None
-) -> Tensor:
-    """Tape node for the weighted softmax cross-entropy loss."""
-    loss, dz = softmax_ce_with_grad(logits.data, labels, class_weights)
+    dz = dz.astype(_f32, copy=False)
 
     def backward(g):
         logits.accumulate(float(g) * dz)

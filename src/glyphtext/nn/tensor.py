@@ -8,13 +8,13 @@ tape once and accumulates gradients into every reachable tensor that has
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ..errors import ShapeError
 
-__all__ = ["Tensor", "as_tensor"]
+__all__ = ["Tensor"]
 
 
 class Tensor:
@@ -38,12 +38,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def accumulate(self, g: np.ndarray) -> None:
         """Add `g` into this tensor's gradient buffer."""
@@ -97,7 +91,3 @@ def _toposort(root: Tensor) -> list[Tensor]:
     order.reverse()
     return order
 
-
-def as_tensor(x) -> Tensor:
-    """Wrap arrays/scalars as constant tensors; pass tensors through."""
-    return x if isinstance(x, Tensor) else Tensor(x)

@@ -28,6 +28,7 @@ from .atlas import GlyphAtlas, load_atlas, to_feature
 from .balance import cb_weights
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import (
+    CheckpointError,
     CompatibilityError,
     DatasetError,
     DivergenceError,
@@ -35,7 +36,16 @@ from .errors import (
     TrainingLockError,
 )
 from .metrics import Metrics, confusion, f_scores, metrics_json
-from .models import ModelConfig, ModelParams, _encoder_stack, forward_documents, init_params
+from .models import (
+    GRU_HIDDEN,
+    GRU_LAYERS,
+    ModelConfig,
+    ModelParams,
+    _encoder_stack,
+    forward_documents,
+    init_params,
+    param_table,
+)
 from .nn.ops import softmax, softmax_cross_entropy
 from .nn.optim import Adam, AdamState
 from .nn.tensor import Tensor
@@ -76,7 +86,6 @@ class TrainConfig:
     eval_every: int = 10
     val_fraction: float = 0.0
     stratified: bool = True
-    mean_all_layers: bool = False
     resume: bool = False
 
     def __post_init__(self):
@@ -137,8 +146,22 @@ def _model_config(cfg: TrainConfig, num_classes: int) -> ModelConfig:
         num_classes=num_classes,
         max_len=cfg.max_len,
         wildcard_ratio=cfg.wildcard_ratio,
-        mean_all_layers=cfg.mean_all_layers,
     )
+
+
+# The BiGRU has one size. Checkpoints still record it, so the file format
+# stays as it was, and `_restore_model` refuses any other size.
+_FIXED_ARCH = {
+    "gru_hidden": str(GRU_HIDDEN),
+    "gru_layers": str(GRU_LAYERS),
+    "mean_all_layers": "0",
+}
+# Every key `_config_dict` writes.
+_CONFIG_KEYS = frozenset((
+    "format", "classifier", "num_classes", "max_len", "wildcard_ratio", *_FIXED_ARCH,
+    "dataset", "atlas", "batch_size", "lr", "beta", "epochs", "seed", "eval_every",
+    "val_fraction", "stratified", "epoch", "adam_step", "num_glyphs", "label_map",
+))
 
 
 def _config_dict(
@@ -155,9 +178,7 @@ def _config_dict(
         "num_classes": str(mcfg.num_classes),
         "max_len": "" if mcfg.max_len is None else str(mcfg.max_len),
         "wildcard_ratio": repr(mcfg.wildcard_ratio),
-        "gru_hidden": str(mcfg.gru_hidden),
-        "gru_layers": str(mcfg.gru_layers),
-        "mean_all_layers": "1" if mcfg.mean_all_layers else "0",
+        **_FIXED_ARCH,
         "dataset": str(cfg.dataset),
         "atlas": str(cfg.atlas),
         "batch_size": str(cfg.batch_size),
@@ -200,43 +221,65 @@ def _assemble_checkpoint(
 
 
 def _restore_model(ckpt: Checkpoint) -> tuple[ModelConfig, dict[str, int], ModelParams]:
+    """Rebuild the model a checkpoint holds, after checking that its config
+    keys and its tensor names and shapes are exactly what the writer makes.
+
+    Parameters and running statistics are copied out of the file buffer, so
+    they are aligned and writable; Adam moments are left to `_restore_adam`.
+    """
     c = ckpt.config
     if c.get("format") != "glyphtext-train":
         raise CompatibilityError(f"not a training checkpoint (format={c.get('format')!r})")
+    _check_names("config key", c, _CONFIG_KEYS)
+    for key, want in _FIXED_ARCH.items():
+        if c[key] != want:
+            raise CompatibilityError(
+                f"checkpoint has {key}={c[key]!r}; the model supports only {want!r}"
+            )
     mcfg = ModelConfig(
         classifier=c["classifier"],
         num_classes=int(c["num_classes"]),
         max_len=int(c["max_len"]) if c["max_len"] else None,
         wildcard_ratio=float(c["wildcard_ratio"]),
-        gru_hidden=int(c["gru_hidden"]),
-        gru_layers=int(c["gru_layers"]),
-        mean_all_layers=c["mean_all_layers"] == "1",
     )
     label_map = json.loads(c["label_map"])
+    table = param_table(mcfg)
+    shapes: dict[str, tuple[int, ...]] = {}
+    for name, (shape, _) in table.items():
+        shapes[name] = shape
+        if not name.startswith("state."):
+            shapes["adam.m." + name] = shapes["adam.v." + name] = shape
+    _check_names("tensor", ckpt.tensors, shapes)
+    for name, arr in ckpt.tensors.items():
+        if arr.shape != shapes[name]:
+            raise CheckpointError(
+                f"checkpoint tensor {name!r} has shape {arr.shape}, expected {shapes[name]}"
+            )
     params: dict[str, Tensor] = {}
     state: dict[str, np.ndarray] = {}
-    for name, arr in ckpt.tensors.items():
-        if name.startswith("adam."):
-            continue
+    for name in table:
         if name.startswith("state."):
-            state[name[len("state.") :]] = arr
+            state[name[len("state.") :]] = ckpt.tensors[name].copy()
         else:
-            params[name] = Tensor(arr, requires_grad=True)
+            params[name] = Tensor(ckpt.tensors[name].copy(), requires_grad=True)
     return mcfg, label_map, ModelParams(params, state)
 
 
+def _check_names(kind: str, got, want) -> None:
+    missing, extra = sorted(set(want) - set(got)), sorted(set(got) - set(want))
+    if missing or extra:
+        raise CheckpointError(f"checkpoint {kind}s differ: missing {missing}, unexpected {extra}")
+
+
 def _restore_adam(ckpt: Checkpoint, params: ModelParams, lr: float) -> Adam:
-    state = {}
-    for name in params.params:
-        try:
-            m = ckpt.tensors["adam.m." + name]
-            v = ckpt.tensors["adam.v." + name]
-        except KeyError as exc:
-            raise CompatibilityError(f"checkpoint lacks optimizer state for {name!r}") from exc
-        state[name] = AdamState(m, v)
-    return Adam(
-        params.trainable(), lr=lr, step_count=int(ckpt.config["adam_step"]), state=state
-    )
+    """Adam with the checkpoint's moments, copied out of the file buffer;
+    `_restore_model` has already checked that they are all present."""
+    state = {
+        name: AdamState(ckpt.tensors["adam.m." + name].copy(),
+                        ckpt.tensors["adam.v." + name].copy())
+        for name in params.params
+    }
+    return Adam(params.params, lr=lr, step_count=int(ckpt.config["adam_step"]), state=state)
 
 
 def _evaluate(
@@ -256,9 +299,8 @@ def _evaluate(
 
 
 _RESUME_KEYS = (
-    "classifier", "num_classes", "max_len", "wildcard_ratio", "gru_hidden",
-    "gru_layers", "mean_all_layers", "batch_size", "lr", "beta", "seed",
-    "val_fraction", "stratified", "num_glyphs", "label_map",
+    "classifier", "num_classes", "max_len", "wildcard_ratio", "batch_size", "lr",
+    "beta", "seed", "val_fraction", "stratified", "num_glyphs", "label_map",
 )
 
 
@@ -323,7 +365,7 @@ def _run_train_locked(cfg: TrainConfig, ckpt_dir: Path) -> tuple[Path, list[dict
         start_epoch = int(ckpt.config["epoch"])
     else:
         params = init_params(mcfg, cfg.seed)
-        adam = Adam(params.trainable(), lr=cfg.lr)
+        adam = Adam(params.params, lr=cfg.lr)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
 
     docs_train = encode_corpus(train_ds, index, shaper, cfg.max_len)

@@ -165,18 +165,6 @@ def test_bigru_rejects_bad_lengths():
         bigru_forward(emb, np.array([4]), params, cfg, "eval")
 
 
-def test_bigru_mean_all_layers_changes_pooling_only():
-    base = bigru_cfg()
-    mean_cfg = bigru_cfg(mean_all_layers=True)
-    params = init_params(base, seed=7)
-    emb = Tensor(np.random.default_rng(7).random((2, 5, 128), dtype=F32))
-    lengths = np.array([5, 3])
-    a = bigru_forward(emb, lengths, params, base, "eval").data
-    b = bigru_forward(emb, lengths, params, mean_cfg, "eval").data
-    assert a.shape == b.shape == (2, 3)
-    assert not np.allclose(a, b)
-
-
 # ---------------------------------------------------------------------------
 # CLCNN classifier
 
@@ -185,12 +173,12 @@ def test_clcnn_shapes_and_length_contract():
     cfg = ModelConfig("clcnn", num_classes=5, max_len=CLCNN_MIN_LEN)
     params = init_params(cfg, seed=0)
     emb = Tensor(np.random.default_rng(0).random((3, CLCNN_MIN_LEN, 128), dtype=F32))
-    logits = clcnn_forward(emb, params, cfg, "eval")
+    logits = clcnn_forward(emb, params, cfg)
     assert logits.shape == (3, 5)
     assert np.isfinite(logits.data).all()
     short = Tensor(np.zeros((3, CLCNN_MIN_LEN - 1, 128), dtype=F32))
     with pytest.raises(ShapeError):
-        clcnn_forward(short, params, cfg, "eval")
+        clcnn_forward(short, params, cfg)
 
 
 # ---------------------------------------------------------------------------

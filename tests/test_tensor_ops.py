@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from glyphtext import models
-from glyphtext.errors import DivergenceError, LabelError
+from glyphtext.errors import DivergenceError, LabelError, ShapeError
 from glyphtext.nn import finite_diff_check, ops
 from glyphtext.nn.optim import Adam
 from glyphtext.nn.tensor import Tensor
@@ -90,10 +90,8 @@ def test_conv1d_same_all_ones_kernel():
     x = T(np.array([[[1.0, 2.0, 3.0]]]))
     w = T(np.ones((1, 1, 3)))
     b = T(np.zeros(1))
-    out = ops.conv1d(x, w, b, padding="same")
+    out = ops.conv1d(x, w, b)
     np.testing.assert_allclose(out.data, [[[3.0, 6.0, 5.0]]], rtol=1e-6)
-    out_v = ops.conv1d(x, w, b, padding="valid")
-    np.testing.assert_allclose(out_v.data, [[[6.0]]], rtol=1e-6)
 
 
 def test_maxpool2d_matches_window_loops():
@@ -241,6 +239,21 @@ def test_gather_rows_matches_indexing():
     np.testing.assert_array_equal(ops.gather_rows(T(x), idx).data, x[idx])
 
 
+@pytest.mark.parametrize("op,x,args", [
+    pytest.param(ops.conv2d, (2, 6, 6), [(3, 2, 3, 3), (3,)], id="conv2d"),
+    pytest.param(ops.conv1d, (2, 6), [(3, 2, 3), (3,)], id="conv1d"),
+    pytest.param(ops.maxpool2d, (2, 6, 6), [2], id="maxpool2d"),
+    pytest.param(ops.maxpool1d, (2, 6), [2], id="maxpool1d"),
+    pytest.param(ops.adaptive_maxpool1d, (2, 6), [2], id="adaptive_maxpool1d"),
+    pytest.param(ops.linear, (4,), [(3, 4), (3,)], id="linear"),
+])
+def test_ops_reject_unbatched_input(op, x, args):
+    """Each op takes only the batched rank; the unbatched one is refused."""
+    args = [T(np.ones(a)) if isinstance(a, tuple) else a for a in args]
+    with pytest.raises(ShapeError, match="input"):
+        op(T(np.ones(x)), *args)
+
+
 def test_maxpool_backward_routes_to_argmax():
     rng = np.random.default_rng(15)
     x = T((rng.permutation(24) * 0.1).reshape(2, 3, 4).astype(F32))
@@ -348,8 +361,8 @@ def test_fd_conv2d(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("padding,out_len", [("same", 6), ("valid", 4)])
-def test_fd_conv1d(seed, padding, out_len):
+@pytest.mark.parametrize("out_len", [pytest.param(6, id="same-6")])
+def test_fd_conv1d(seed, out_len):
     rng = np.random.default_rng(seed)
     x = T(U(rng, (2, 2, 6), 0.2, 1.0))
     w = T(U(rng, (3, 2, 3), 0.05, 0.18))
@@ -357,7 +370,7 @@ def test_fd_conv1d(seed, padding, out_len):
     r = U(rng, (2, 3, out_len), 1.0, 2.0)
 
     def f():
-        return ops.tsum(ops.mul(ops.affine(ops.sigmoid(ops.conv1d(x, w, b, padding)), 1.0, -0.6), T(r, False)))
+        return ops.tsum(ops.mul(ops.affine(ops.sigmoid(ops.conv1d(x, w, b)), 1.0, -0.6), T(r, False)))
 
     assert finite_diff_check(f, [x, w, b], n_coords=80, seed=seed) < TOL
 

@@ -295,6 +295,51 @@ def test_predict_text_returns_label_and_distribution(workdir, trained):
 
 
 # ---------------------------------------------------------------------------
+# restoring a trained model
+
+
+def test_load_copies_only_what_the_restorers_keep(trained):
+    ckpt = load_checkpoint(trained[0])
+    moments = [a for name, a in ckpt.tensors.items() if name.startswith("adam.")]
+    assert moments and not any(a.flags.owndata for a in moments)
+    _, _, params = glyphtext.train._restore_model(ckpt)
+    adam = glyphtext.train._restore_adam(ckpt, params, 1e-3)
+    kept = [t.data for t in params.params.values()] + list(params.state.values())
+    kept += [a for st in adam.state.values() for a in (st.m, st.v)]
+    assert all(a.flags.owndata and a.flags.writeable and a.flags.aligned for a in kept)
+
+
+@pytest.mark.parametrize("change,error", [
+    pytest.param(lambda c: c.config.update(gru_layers="2"), CompatibilityError,
+                 id="gru_layers"),
+    pytest.param(lambda c: c.config.update(mean_all_layers="1"), CompatibilityError,
+                 id="mean_all_layers"),
+    pytest.param(lambda c: c.tensors.update({"cls.fc.b": np.zeros(4, np.float32)}),
+                 CheckpointError, id="misshapen-tensor"),
+])
+def test_restore_model_refuses_other_sizes_and_shapes(trained, change, error):
+    ckpt = load_checkpoint(trained[0])
+    change(ckpt)
+    with pytest.raises(error):
+        glyphtext.train._restore_model(ckpt)
+
+
+@pytest.mark.parametrize("marker", [
+    pytest.param(b"enc.conv1.w", id="tensor-name"),
+    pytest.param(b"\nclassifier=", id="config-key"),
+])
+def test_cli_predict_reports_a_flipped_checkpoint_byte(trained, tmp_path, capsys, marker):
+    blob = bytearray(trained[0].read_bytes())
+    blob[blob.index(marker) + marker.startswith(b"\n")] ^= 0x01
+    bad = tmp_path / "flipped.bin"
+    bad.write_bytes(bytes(blob))
+    assert main(["predict", "--checkpoint", str(bad), "نص تجريبي قصير"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "CheckpointError"
+
+
+# ---------------------------------------------------------------------------
 # CLI surface
 
 
@@ -428,7 +473,19 @@ def test_cli_config_file_with_flag_override(workdir, tmp_path, capsys):
 
 def test_cli_config_file_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("no-such-option = 1\n", encoding="utf-8")
-    rc = main(["train", "--config", str(cfg)])
-    assert rc == 1
-    assert "no-such-option" in json.loads(capsys.readouterr().err.strip())["message"]
+    for key in ("no-such-option", "mean_all_layers"):
+        cfg.write_text(f"{key} = 1\n", encoding="utf-8")
+        rc = main(["train", "--config", str(cfg)])
+        assert rc == 1
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert "unknown key" in message and key in message
+
+
+def test_cli_refuses_threads_below_one(tmp_path, capsys):
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text("checkpoint = missing.bin\nthreads = 0\n", encoding="utf-8")
+    for argv in (["predict", "--checkpoint", "missing.bin", "--threads", "0", "نص"],
+                 ["predict", "--config", str(cfg), "نص"]):
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ParameterError" and "threads" in err["message"]
